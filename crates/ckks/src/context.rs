@@ -415,13 +415,8 @@ impl CkksContext {
             if keys.get(g).is_some() {
                 continue;
             }
-            // s′ = φ_g(s): automorphism acts in the coefficient domain.
-            let full = self.params.full_basis_at(self.params.max_level());
-            let tabs = self.tables_for(&full);
-            let mut s_coeff = sk.s.clone();
-            s_coeff.ntt_inverse(&tabs);
-            let mut s_rot = s_coeff.automorphism(g);
-            s_rot.ntt_forward(&tabs);
+            // s′ = φ_g(s), permuted directly in the NTT domain.
+            let s_rot = sk.s.automorphism_ntt(g);
             keys.insert(g, self.gen_ksk(&s_rot, sk));
         }
         keys

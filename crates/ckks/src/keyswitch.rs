@@ -10,6 +10,14 @@
 //! 5. **ModDown**: INTT, divide by P (base conversion + per-limb scaling),
 //!    NTT back to the working domain.
 //!
+//! The pooled path skips every transform whose result is already at hand,
+//! which is exact because the NTT is linear mod each prime: step 3 copies
+//! each digit's own limbs from the NTT-form input instead of re-transforming
+//! them, and step 5 INTTs only the K special limbs, NTTs their conversion
+//! onto Q_ℓ, and subtracts and scales by P^{-1} in the evaluation domain.
+//! With K = α = 1 at level ℓ that is (ℓ+2)(ℓ+3) transforms per keyswitch
+//! instead of (ℓ+1)(ℓ+3) + 2(2ℓ+3) — 272 instead of 317 at SET-C.
+//!
 //! The functional code below is exact (up to the approximate base
 //! conversion's rounding, which is standard); the *kernel grouping* of these
 //! same steps — 11 PE kernels vs 59–109 KF kernels — lives in
@@ -25,16 +33,17 @@
 //! ([`wd_modmath::slab`]), fusing the multiply-accumulate and the
 //! subtract-and-scale of ModDown in place. The only heap allocations in
 //! steady state are the two output polynomials. [`keyswitch_unpooled`] keeps
-//! the original allocate-per-step implementation as the A/B reference: the
-//! two are bit-identical at every level and thread count (pinned by
-//! `pooled_matches_unpooled_at_every_level`), which is what lets
-//! `alloc_bench` attribute its delta to allocation traffic alone.
+//! the original allocate-per-step implementation, with every round trip,
+//! as the A/B reference: the two are bit-identical at every level and
+//! thread count (pinned by `pooled_matches_unpooled_at_every_level`), so
+//! `alloc_bench`'s delta is allocation traffic plus the skipped transforms.
 
 use crate::context::{restrict, CkksContext};
 use crate::keys::KeySwitchKey;
 use crate::CkksError;
 use std::sync::Arc;
 use wd_modmath::Modulus;
+use wd_polyring::ntt::NttTable;
 use wd_polyring::rns::{Domain, RnsPoly};
 use wd_polyring::scratch::{self, ScratchArena};
 use wd_polyring::Poly;
@@ -73,6 +82,29 @@ fn give_rns(arena: &Arc<ScratchArena>, p: RnsPoly) {
     for limb in p.into_limbs() {
         arena.give_vec(limb.into_coeffs());
     }
+}
+
+/// Applies `transform` ([`NttTable::forward`] or [`NttTable::inverse`]) in
+/// place to the limbs of `p` whose index satisfies `pick`, leaving the
+/// domain tag to the caller — the partial transforms that let ModUp and
+/// ModDown skip limbs whose other form is already at hand.
+fn ntt_limbs(
+    p: &mut RnsPoly,
+    tables: &[Arc<NttTable>],
+    pick: impl Fn(usize) -> bool,
+    transform: fn(&NttTable, &mut [u64]),
+    threads: usize,
+) {
+    let mut work: Vec<(&mut Poly, &NttTable)> = p
+        .limbs_mut()
+        .zip(tables)
+        .enumerate()
+        .filter(|(i, _)| pick(*i))
+        .map(|(_, (limb, t))| (limb, t.as_ref()))
+        .collect();
+    wd_polyring::par::for_each_mut(threads, &mut work, |(limb, t)| {
+        transform(t, limb.coeffs_mut());
+    });
 }
 
 /// Maps each prime of `basis` to its limb position inside a key digit
@@ -177,8 +209,9 @@ fn keyswitch_pooled(
 
     // Steps 2–4 per digit: ModUp, NTT, fused multiply-accumulate with the
     // key. One extension buffer is reused across all digits; the base
-    // conversion overwrites every limb, then the digit's own limbs are
-    // restored exactly (conversion is identity there up to rounding).
+    // conversion overwrites every limb, the limbs outside the digit are
+    // transformed, and the digit's own limbs are restored exactly from the
+    // NTT-form input (conversion is identity there up to rounding).
     let mut acc0 = take_rns(&arena, full, n, Domain::Ntt)?;
     let mut acc1 = take_rns(&arena, full, n, Domain::Ntt)?;
     let mut ext = take_rns(&arena, full, n, Domain::Coeff)?;
@@ -189,12 +222,19 @@ fn keyswitch_pooled(
         let digit_limbs: Vec<&Poly> = (lo..hi).map(|i| d_coeff.limb(i)).collect();
         ext.set_domain(Domain::Coeff);
         wd_polyring::par::try_convert_limbs_into(&conv, &digit_limbs, &mut ext, th)?;
+        ntt_limbs(
+            &mut ext,
+            full_tabs,
+            |i| !(lo..hi).contains(&i),
+            NttTable::forward,
+            th,
+        );
         for i in lo..hi {
             ext.limb_mut(i)
                 .coeffs_mut()
-                .copy_from_slice(d_coeff.limb(i).coeffs());
+                .copy_from_slice(d.limb(i).coeffs());
         }
-        ext.ntt_forward_with(full_tabs, th);
+        ext.set_domain(Domain::Ntt);
         accumulate_digit(
             &mut acc0,
             &mut acc1,
@@ -214,10 +254,13 @@ fn keyswitch_pooled(
     Ok((out0, out1))
 }
 
-/// Pooled ModDown: divides the extended-basis accumulator by P = Π p_k in
-/// place, returning out ≈ round(x / P) over Q_ℓ. The only heap allocations
-/// are the output's own limbs; `acc` and the base-conversion temporary go
-/// back to the arena.
+/// Pooled ModDown: divides the extended-basis accumulator by P = Π p_k,
+/// returning out ≈ round(x / P) over Q_ℓ in NTT form. Only the K special
+/// limbs leave the evaluation domain: their conversion u onto Q_ℓ is
+/// transformed and (x − u) · P^{-1} is formed on the Q limbs as they stand,
+/// which equals the coefficient-domain result transformed (the NTT is linear
+/// mod q). The only heap allocations are the output's own limbs; `acc` and
+/// the base-conversion temporary go back to the arena.
 fn mod_down_pooled(
     ctx: &CkksContext,
     arena: &Arc<ScratchArena>,
@@ -229,31 +272,34 @@ fn mod_down_pooled(
     let p_chain = ctx.params().p_chain();
     let lq = q_now.len();
     let n = acc.degree();
-    // INTT over the full basis, in place on the leased accumulator.
-    acc.ntt_inverse_with(ctx.full_tables(level), th);
-    // Convert the P-part residues down to Q, into leased storage.
+    // INTT the P-part in place on the leased accumulator, convert it down
+    // to Q into leased storage, and bring the conversion to NTT form.
+    ntt_limbs(
+        &mut acc,
+        ctx.full_tables(level),
+        |i| i >= lq,
+        NttTable::inverse,
+        th,
+    );
     let p_limbs: Vec<&Poly> = (lq..lq + p_chain.len()).map(|i| acc.limb(i)).collect();
     let conv = ctx.try_converter(p_chain, q_now)?;
     let mut u = take_rns(arena, q_now, n, Domain::Coeff)?;
     wd_polyring::par::try_convert_limbs_into(&conv, &p_limbs, &mut u, th)?;
+    u.ntt_forward_with(ctx.q_tables(level), th);
     // (x − u) · P^{-1} per limb, fused in place on the output's storage.
     // These limb clones are the result — the only allocations that escape.
-    let mut out = RnsPoly::from_limbs(
-        (0..lq).map(|i| acc.limb(i).clone()).collect(),
-        Domain::Coeff,
-    )?;
+    let mut out = RnsPoly::from_limbs((0..lq).map(|i| acc.limb(i).clone()).collect(), Domain::Ntt)?;
     give_rns(arena, acc);
     out.sub_assign(&u)?;
     give_rns(arena, u);
     out.scale_per_limb_assign(ctx.p_inv(level));
-    out.ntt_forward_with(ctx.q_tables(level), th);
     Ok(out)
 }
 
-/// The original allocate-per-step keyswitch, kept verbatim as the A/B
-/// reference for [`keyswitch`]: `alloc_bench` runs both over identical
-/// inputs and attributes the timing delta to allocation and layout alone,
-/// and the equivalence suite pins bit-identical outputs at every level.
+/// The original allocate-per-step keyswitch, kept verbatim (full-basis
+/// INTT/NTT round trips included) as the A/B reference for [`keyswitch`]:
+/// `alloc_bench` runs both over identical inputs, and the equivalence suite
+/// pins bit-identical outputs at every level.
 ///
 /// # Errors
 ///
@@ -591,10 +637,9 @@ mod tests {
 
     /// Satellite regression: the pooled hot path must be **bit-identical**
     /// to the original allocate-per-step implementation at every level of
-    /// the chain (and for the hoisted variant at the top level). This is
-    /// the contract that lets `alloc_bench` attribute its A/B delta purely
-    /// to allocation behavior, and it pins the cached prime-slice /
-    /// precomputed-P⁻¹ refactor to "no behavior change".
+    /// the chain (and for the hoisted variant at the top level). It pins
+    /// the cached prime-slice / precomputed-P⁻¹ refactor and the skipped
+    /// ModUp/ModDown transforms to "no behavior change".
     #[test]
     fn pooled_matches_unpooled_at_every_level() -> Result<(), CkksError> {
         for k in [1usize, 2] {

@@ -10,8 +10,10 @@ use crate::encoding::C64;
 use crate::keys::{KeySwitchKey, RotationKeys};
 use crate::keyswitch::keyswitch;
 use crate::CkksError;
+use std::sync::Arc;
 use wd_fault::OperandMismatch;
 use wd_modmath::Modulus;
+use wd_polyring::ntt::NttTable;
 use wd_polyring::rns::RnsPoly;
 
 /// Homomorphic addition: slot-wise ct0 + ct1.
@@ -194,18 +196,13 @@ pub fn rescale_by(ctx: &CkksContext, ct: &Ciphertext, k: usize) -> Result<Cipher
     let th = ctx.threads();
     let mut c0 = ct.c0.clone();
     let mut c1 = ct.c1.clone();
-    let primes = ctx.params().q_at(ct.level);
-    c0.ntt_inverse_with(ctx.q_tables(ct.level), th);
-    c1.ntt_inverse_with(ctx.q_tables(ct.level), th);
     let mut scale = ct.scale;
     for step in 0..k {
-        let dropped = primes[ct.level - step];
-        rescale_step(&mut c0, dropped)?;
-        rescale_step(&mut c1, dropped)?;
-        scale /= dropped as f64;
+        let tables = ctx.q_tables(ct.level - step);
+        rescale_step(&mut c0, tables, th)?;
+        rescale_step(&mut c1, tables, th)?;
+        scale /= tables[ct.level - step].modulus().value() as f64;
     }
-    c0.ntt_forward_with(ctx.q_tables(ct.level - k), th);
-    c1.ntt_forward_with(ctx.q_tables(ct.level - k), th);
     Ok(Ciphertext {
         c0,
         c1,
@@ -214,29 +211,48 @@ pub fn rescale_by(ctx: &CkksContext, ct: &Ciphertext, k: usize) -> Result<Cipher
     })
 }
 
-/// One rescaling step in the coefficient domain:
-/// c_i ← (c_i − \[v\]_{q_i}) · q_last^{-1}, where v is the centered last limb.
+/// One rescaling step in the evaluation domain:
+/// c_i ← (c_i − NTT_i(\[v\]_{q_i})) · q_last^{-1}, where v is the centered
+/// last limb. Only the dropped limb is inverse-transformed; each kept limb
+/// takes one forward NTT of v instead of an INTT/NTT round trip of its own,
+/// and the result is bit-identical to the coefficient-domain step
+/// transformed (the NTT is linear mod q_i). `tables` are the NTT tables of
+/// `p`'s limbs, in limb order.
 ///
 /// # Errors
 ///
 /// Returns a typed error on degenerate chains (a non-invertible dropped
 /// prime or a modulus exceeding the signed word range) instead of
 /// panicking on the request path.
-fn rescale_step(p: &mut RnsPoly, dropped: u64) -> Result<(), CkksError> {
+fn rescale_step(
+    p: &mut RnsPoly,
+    tables: &[Arc<NttTable>],
+    threads: usize,
+) -> Result<(), CkksError> {
     let last = p.limb_count() - 1;
-    assert_eq!(p.limb(last).modulus().value(), dropped);
-    let v_centered = p.limb(last).centered();
-    for i in 0..last {
-        let m = *p.limb(i).modulus();
+    let mut v = p.limb(last).clone();
+    tables[last].inverse(v.coeffs_mut());
+    let v_centered = v.centered();
+    let dropped = v.modulus().value();
+    let mut work = Vec::with_capacity(last);
+    for (limb, t) in p.limbs_mut().zip(tables).take(last) {
+        let m = *limb.modulus();
         let q_inv = m.inv(m.reduce(dropped))?;
         let qi = i64::try_from(m.value())
             .map_err(|_| CkksError::InvalidParams(format!("modulus {} exceeds i64", m.value())))?;
-        let limb = p.limb_mut(i);
-        for (c, &v) in limb.coeffs_mut().iter_mut().zip(&v_centered) {
-            let v_mod = (v % qi + qi) % qi;
-            *c = m.mul(m.sub(*c, v_mod as u64), q_inv);
-        }
+        work.push((limb, t.as_ref(), q_inv, qi));
     }
+    wd_polyring::par::for_each_mut(threads, &mut work, |(limb, t, q_inv, qi)| {
+        let m = *limb.modulus();
+        let mut v_mod: Vec<u64> = v_centered
+            .iter()
+            .map(|&v| ((v % *qi + *qi) % *qi) as u64)
+            .collect();
+        t.forward(&mut v_mod);
+        for (c, &v) in limb.coeffs_mut().iter_mut().zip(&v_mod) {
+            *c = m.mul(m.sub(*c, v), *q_inv);
+        }
+    });
     p.drop_limbs(1);
     Ok(())
 }
@@ -322,17 +338,9 @@ fn apply_galois(
     let ksk = keys
         .get(g)
         .ok_or_else(|| CkksError::MissingKey(format!("rotation key for g = {g}")))?;
-    let th = ctx.threads();
-    let tabs = ctx.q_tables(ct.level);
-    // Automorphism acts on coefficients.
-    let mut c0 = ct.c0.clone();
-    let mut c1 = ct.c1.clone();
-    c0.ntt_inverse_with(tabs, th);
-    c1.ntt_inverse_with(tabs, th);
-    let mut c0g = c0.automorphism(g);
-    let mut c1g = c1.automorphism(g);
-    c0g.ntt_forward_with(tabs, th);
-    c1g.ntt_forward_with(tabs, th);
+    // The automorphism permutes evaluations directly: no INTT/NTT round trip.
+    let c0g = ct.c0.automorphism_ntt(g);
+    let c1g = ct.c1.automorphism_ntt(g);
     // Keyswitch φ(c1) from φ(s) to s.
     let (ks0, ks1) = keyswitch(ctx, &c1g, ksk)?;
     Ok(Ciphertext {
@@ -358,11 +366,6 @@ pub fn hrotate_many(
     keys: &RotationKeys,
 ) -> Result<Vec<Ciphertext>, CkksError> {
     use crate::keyswitch::{keyswitch_hoisted, HoistedDecomposition};
-    let th = ctx.threads();
-    let tabs = ctx.q_tables(ct.level);
-    // c0 in coefficient form for per-rotation automorphisms.
-    let mut c0_coeff = ct.c0.clone();
-    c0_coeff.ntt_inverse_with(tabs, th);
     // One decomposition of c1 shared by every rotation.
     let hoisted = HoistedDecomposition::new(ctx, &ct.c1)?;
     let mut out = Vec::with_capacity(rotations.len());
@@ -376,8 +379,7 @@ pub fn hrotate_many(
             .get(g)
             .ok_or_else(|| CkksError::MissingKey(format!("rotation key for g = {g}")))?;
         let (ks0, ks1) = keyswitch_hoisted(ctx, &hoisted, g, ksk)?;
-        let mut c0g = c0_coeff.automorphism(g);
-        c0g.ntt_forward_with(tabs, th);
+        let c0g = ct.c0.automorphism_ntt(g);
         out.push(Ciphertext {
             c0: c0g.add(&ks0)?,
             c1: ks1,
@@ -553,6 +555,57 @@ mod tests {
         let prod = rescale(&ctx, &hmult(&ctx, &ab2, &a2, &kp.relin)?)?;
         let out = ctx.decrypt_values(&prod, &kp.secret)?;
         close(&out[..2], &[1.1 * 3.0 * 1.1, 2.0 * 0.5 * 2.0], 0.1);
+        Ok(())
+    }
+
+    /// The coefficient-domain rescale the evaluation-domain one replaced:
+    /// INTT every limb, c_i ← (c_i − \[v\]_{q_i}) · q_last^{-1} per dropped
+    /// prime with v the centered last limb, NTT the kept limbs.
+    fn rescale_by_coeff_reference(
+        ctx: &CkksContext,
+        ct: &Ciphertext,
+        k: usize,
+    ) -> Result<(RnsPoly, RnsPoly), CkksError> {
+        let mut out = [ct.c0.clone(), ct.c1.clone()];
+        for p in &mut out {
+            p.ntt_inverse(ctx.q_tables(ct.level));
+            for _ in 0..k {
+                let last = p.limb_count() - 1;
+                let dropped = p.limb(last).modulus().value();
+                let v_centered = p.limb(last).centered();
+                for i in 0..last {
+                    let m = *p.limb(i).modulus();
+                    let q_inv = m.inv(m.reduce(dropped))?;
+                    let qi = m.value() as i64;
+                    for (c, &v) in p.limb_mut(i).coeffs_mut().iter_mut().zip(&v_centered) {
+                        let v_mod = ((v % qi + qi) % qi) as u64;
+                        *c = m.mul(m.sub(*c, v_mod), q_inv);
+                    }
+                }
+                p.drop_limbs(1);
+            }
+            p.ntt_forward(ctx.q_tables(ct.level - k));
+        }
+        let [c0, c1] = out;
+        Ok((c0, c1))
+    }
+
+    #[test]
+    fn evaluation_domain_rescale_matches_coefficient_reference() -> Result<(), CkksError> {
+        let (ctx, kp) = setup()?;
+        let ct = ctx.encrypt_values(&[1.25, -0.5, 3.0], &kp.public)?;
+        let pt = ctx.encode(&[2.0, -1.5, 0.25])?;
+        let prod = pmult(&pmult(&ct, &pt)?, &pt)?;
+        for k in [1usize, 2] {
+            for threads in [1usize, 3] {
+                ctx.set_threads(threads);
+                let rs = rescale_by(&ctx, &prod, k)?;
+                let (c0, c1) = rescale_by_coeff_reference(&ctx, &prod, k)?;
+                assert_eq!(rs.c0, c0, "c0 diverged (k = {k}, threads = {threads})");
+                assert_eq!(rs.c1, c1, "c1 diverged (k = {k}, threads = {threads})");
+            }
+        }
+        ctx.set_threads(1);
         Ok(())
     }
 

@@ -129,14 +129,24 @@ impl Modulus {
     /// multiply — the classic constant-operand trick used for NTT twiddles.
     #[inline]
     pub fn mul_shoup(&self, a: u64, w: u64, w_shoup: u64) -> u64 {
-        debug_assert!(a < self.q && w < self.q);
-        let t = ((u128::from(a) * u128::from(w_shoup)) >> 64) as u64;
-        let r = a.wrapping_mul(w).wrapping_sub(t.wrapping_mul(self.q));
+        debug_assert!(a < self.q);
+        let r = self.mul_shoup_lazy(a, w, w_shoup);
         if r >= self.q {
             r - self.q
         } else {
             r
         }
+    }
+
+    /// Harvey's lazy form of [`Modulus::mul_shoup`]: accepts any `a`
+    /// (unreduced operands such as the [0, 4q) values of a lazy NTT
+    /// butterfly included) and returns a value in `[0, 2q)` congruent to
+    /// `a·w`, skipping the final conditional subtraction.
+    #[inline]
+    pub fn mul_shoup_lazy(&self, a: u64, w: u64, w_shoup: u64) -> u64 {
+        debug_assert!(w < self.q);
+        let t = ((u128::from(a) * u128::from(w_shoup)) >> 64) as u64;
+        a.wrapping_mul(w).wrapping_sub(t.wrapping_mul(self.q))
     }
 
     /// Modular exponentiation by square-and-multiply.
@@ -251,6 +261,21 @@ mod tests {
             let ws = m.shoup(w);
             for a in [0u64, 1, Q / 3, Q - 1] {
                 assert_eq!(m.mul_shoup(a, w, ws), m.mul(a, w));
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_shoup_stays_below_two_q_on_unreduced_inputs() {
+        // The lazy NTT butterfly feeds values up to 4q; the result must be
+        // congruent to a·w and below 2q.
+        let m = Modulus::new(Q);
+        for w in [0u64, 1, Q / 2, Q - 1] {
+            let ws = m.shoup(w);
+            for a in [0u64, Q - 1, 2 * Q - 1, 3 * Q, 4 * Q - 1] {
+                let r = m.mul_shoup_lazy(a, w, ws);
+                assert!(r < 2 * Q, "a = {a}, w = {w}: {r} >= 2q");
+                assert_eq!(r % Q, m.mul(a % Q, w));
             }
         }
     }

@@ -4,7 +4,8 @@
 //! and the paper's first contribution is a family of NTT implementations for
 //! that ring. This crate implements them **functionally and bit-exactly**:
 //!
-//! - [`ntt::NttTable`]: the iterative negacyclic NTT/INTT used as
+//! - [`ntt::NttTable`]: the iterative negacyclic NTT/INTT (lazy Harvey
+//!   butterflies with Shoup twiddles) used as
 //!   correctness oracle and CPU baseline.
 //! - [`decomp::DecompPlan`]: the multi-level 4-step decomposition of Fig. 2,
 //!   with the exact operation-count closed forms of Table IV.

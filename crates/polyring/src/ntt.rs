@@ -1,8 +1,8 @@
-//! Reference negacyclic NTT/INTT with Montgomery-domain twiddles.
+//! Negacyclic NTT/INTT with lazy Harvey butterflies and Shoup twiddles.
 //!
-//! This is the correctness oracle for every other variant and doubles as the
-//! CPU-baseline NTT (paper Table VII, "CPU Baseline"). The forward transform
-//! computes, in **natural order**,
+//! This is the host transform behind every CKKS operation, the correctness
+//! oracle for the other variants, and the CPU baseline (paper Table VII,
+//! "CPU Baseline"). The forward transform computes, in **natural order**,
 //!
 //! ```text
 //! X[k] = Σ_j a_j ψ^j ω^{jk}  (mod q),   ω = ψ², ψ a primitive 2N-th root
@@ -10,8 +10,20 @@
 //!
 //! i.e. the evaluation of a(X) at the odd powers ψ^{2k+1} — the negacyclic
 //! convolution theorem then reads `NTT(a ·_{X^N+1} b) = NTT(a) ⊙ NTT(b)`.
-//! Twiddle factors are pre-converted to the Montgomery domain exactly as
-//! §IV-A-4 prescribes, so the butterfly has no domain conversions.
+//!
+//! [`NttTable::forward`] is a Cooley–Tukey transform with ψ merged into the
+//! twiddles (so there is no pre-scale pass); [`NttTable::inverse`] is the
+//! matching Gentleman–Sande transform with N^{-1} folded into its final
+//! canonicalising pass. Both butterflies keep values lazily in [0, 4q) and
+//! multiply by twiddles with Shoup constants (Harvey, "Faster arithmetic
+//! for number-theoretic transforms"), so the inner loop has no full
+//! reduction; one `bit_reverse` pass per direction restores natural order
+//! and the output is canonical [0, q). Twiddles are stored in bit-reversed
+//! order, built in O(N) by a running power scattered to bit-reversed slots.
+//!
+//! Montgomery-domain twiddles — the reduction §IV-A-4 selects for the GPU
+//! kernels — remain here only for the ψ pre/post-scale and ω powers that the
+//! 4-step variants in [`crate::fourstep`] share.
 
 use crate::PolyError;
 use wd_modmath::prime::primitive_root_of_unity;
@@ -25,23 +37,20 @@ pub struct NttTable {
     n: usize,
     /// ψ, a primitive 2N-th root of unity.
     psi: u64,
-    /// ψ^j for j in 0..N, Montgomery domain (forward pre-scale).
+    /// Forward twiddles (w, w_shoup): slot `bitrev(j)` holds ψ^j.
+    fwd_twiddles: Vec<(u64, u64)>,
+    /// Inverse twiddles (w, w_shoup): slot `bitrev(j)` holds ψ^{-j}.
+    inv_twiddles: Vec<(u64, u64)>,
+    /// N^{-1} and its Shoup constant, applied by the inverse's last pass.
+    n_inv: (u64, u64),
+    /// ψ^j for j in 0..N, Montgomery domain (4-step pre-scale).
     psi_pows_mont: Vec<u64>,
-    /// ψ^{-j} · N^{-1} for j in 0..N, Montgomery domain (inverse post-scale).
+    /// ψ^{-j} · N^{-1} for j in 0..N, Montgomery domain (4-step post-scale).
     psi_inv_n_inv_mont: Vec<u64>,
     /// ω^e for e in 0..N, plain domain (shared by the 4-step variants).
     omega_pows: Vec<u64>,
     /// ω^{-e} for e in 0..N, plain domain.
     omega_inv_pows: Vec<u64>,
-    /// Per-stage forward twiddles, Montgomery domain, stage s has 2^s entries.
-    fwd_stages: Vec<Vec<u64>>,
-    /// Per-stage inverse twiddles, Montgomery domain.
-    inv_stages: Vec<Vec<u64>>,
-    /// Forward twiddles as (w, w_shoup) pairs for the Barrett/Shoup path —
-    /// the alternative reduction the §IV-A-4 ablation compares against.
-    fwd_stages_shoup: Vec<Vec<(u64, u64)>>,
-    /// ψ^j as (w, w_shoup) pairs for the Barrett/Shoup pre-scale.
-    psi_pows_shoup: Vec<(u64, u64)>,
 }
 
 impl NttTable {
@@ -73,105 +82,42 @@ impl NttTable {
         let omega_inv = modulus.inv(omega).expect("omega invertible");
         let n_inv = modulus.inv(n as u64).expect("n invertible");
 
+        let shift = usize::BITS - n.trailing_zeros();
+        let mut fwd_twiddles = vec![(0, 0); n];
+        let mut inv_twiddles = vec![(0, 0); n];
         let mut psi_pows_mont = Vec::with_capacity(n);
         let mut psi_inv_n_inv_mont = Vec::with_capacity(n);
         let mut omega_pows = Vec::with_capacity(n);
         let mut omega_inv_pows = Vec::with_capacity(n);
-        let (mut p, mut pi, mut w, mut wi) = (1u64, n_inv, 1u64, 1u64);
-        for _ in 0..n {
+        let (mut p, mut pi, mut pin, mut w, mut wi) = (1u64, 1u64, n_inv, 1u64, 1u64);
+        for j in 0..n {
+            let r = j.reverse_bits() >> shift;
+            fwd_twiddles[r] = (p, modulus.shoup(p));
+            inv_twiddles[r] = (pi, modulus.shoup(pi));
             psi_pows_mont.push(mont.to_mont(p));
-            psi_inv_n_inv_mont.push(mont.to_mont(pi));
+            psi_inv_n_inv_mont.push(mont.to_mont(pin));
             omega_pows.push(w);
             omega_inv_pows.push(wi);
             p = modulus.mul(p, psi);
             pi = modulus.mul(pi, psi_inv);
+            pin = modulus.mul(pin, psi_inv);
             w = modulus.mul(w, omega);
             wi = modulus.mul(wi, omega_inv);
         }
-
-        // Stage twiddles for the iterative cyclic transform: at stage with
-        // butterfly span `len`, twiddle j is ω^{j · N/len} for j < len/2.
-        let log_n = n.trailing_zeros();
-        let mut fwd_stages = Vec::with_capacity(log_n as usize);
-        let mut inv_stages = Vec::with_capacity(log_n as usize);
-        let mut fwd_stages_shoup = Vec::with_capacity(log_n as usize);
-        for s in 1..=log_n {
-            let len = 1usize << s;
-            let stride = n / len;
-            let fwd: Vec<u64> = (0..len / 2)
-                .map(|j| mont.to_mont(omega_pows[j * stride]))
-                .collect();
-            let inv: Vec<u64> = (0..len / 2)
-                .map(|j| mont.to_mont(omega_inv_pows[j * stride]))
-                .collect();
-            let shoup: Vec<(u64, u64)> = (0..len / 2)
-                .map(|j| {
-                    let w = omega_pows[j * stride];
-                    (w, modulus.shoup(w))
-                })
-                .collect();
-            fwd_stages.push(fwd);
-            inv_stages.push(inv);
-            fwd_stages_shoup.push(shoup);
-        }
-        let psi_pows_shoup: Vec<(u64, u64)> = {
-            let mut p = 1u64;
-            (0..n)
-                .map(|_| {
-                    let pair = (p, modulus.shoup(p));
-                    p = modulus.mul(p, psi);
-                    pair
-                })
-                .collect()
-        };
 
         Ok(Self {
             modulus,
             mont,
             n,
             psi,
+            fwd_twiddles,
+            inv_twiddles,
+            n_inv: (n_inv, modulus.shoup(n_inv)),
             psi_pows_mont,
             psi_inv_n_inv_mont,
             omega_pows,
             omega_inv_pows,
-            fwd_stages,
-            inv_stages,
-            fwd_stages_shoup,
-            psi_pows_shoup,
         })
-    }
-
-    /// Negacyclic forward NTT using Barrett/Shoup constant-operand
-    /// multiplication instead of Montgomery-domain twiddles — the other arm
-    /// of the §IV-A-4 reduction ablation (the paper measured Montgomery
-    /// ~10% faster inside the NTT and chose it; `cargo bench --bench
-    /// ntt_variants` lets this host weigh in). Output is bit-identical to
-    /// [`NttTable::forward`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != N`.
-    pub fn forward_barrett(&self, data: &mut [u64]) {
-        assert_eq!(data.len(), self.n);
-        let m = &self.modulus;
-        for (a, &(w, ws)) in data.iter_mut().zip(&self.psi_pows_shoup) {
-            *a = m.mul_shoup(*a, w, ws);
-        }
-        Self::bit_reverse(data);
-        for (s, tw) in self.fwd_stages_shoup.iter().enumerate() {
-            let len = 1usize << (s + 1);
-            let half = len / 2;
-            for block in data.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(half);
-                for j in 0..half {
-                    let u = lo[j];
-                    let (w, ws) = tw[j];
-                    let v = m.mul_shoup(hi[j], w, ws);
-                    lo[j] = m.add(u, v);
-                    hi[j] = m.sub(u, v);
-                }
-            }
-        }
     }
 
     /// Ring degree N.
@@ -206,9 +152,21 @@ impl NttTable {
         self.omega_inv_pows[e % self.n]
     }
 
-    /// In-place bit-reversal permutation.
+    /// In-place bit-reversal permutation. Slices of length 0 or 1 are left
+    /// unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the length is not a power of two.
     pub fn bit_reverse(data: &mut [u64]) {
         let n = data.len();
+        if n <= 1 {
+            return;
+        }
+        assert!(
+            n.is_power_of_two(),
+            "bit_reverse needs a power-of-two length, got {n}"
+        );
         let shift = usize::BITS - n.trailing_zeros();
         for i in 0..n {
             let j = i.reverse_bits() >> shift;
@@ -218,56 +176,8 @@ impl NttTable {
         }
     }
 
-    /// Cyclic forward NTT (no ψ scaling), natural order in and out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != N`.
-    pub fn forward_cyclic(&self, data: &mut [u64]) {
-        assert_eq!(data.len(), self.n);
-        Self::bit_reverse(data);
-        let m = &self.modulus;
-        for (s, tw) in self.fwd_stages.iter().enumerate() {
-            let len = 1usize << (s + 1);
-            let half = len / 2;
-            for block in data.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(half);
-                for j in 0..half {
-                    let u = lo[j];
-                    let v = self.mont.mul_plain_by_mont(hi[j], tw[j]);
-                    lo[j] = m.add(u, v);
-                    hi[j] = m.sub(u, v);
-                }
-            }
-        }
-    }
-
-    /// Cyclic inverse NTT **without** the 1/N scaling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != N`.
-    pub fn inverse_cyclic_unscaled(&self, data: &mut [u64]) {
-        assert_eq!(data.len(), self.n);
-        Self::bit_reverse(data);
-        let m = &self.modulus;
-        for (s, tw) in self.inv_stages.iter().enumerate() {
-            let len = 1usize << (s + 1);
-            let half = len / 2;
-            for block in data.chunks_exact_mut(len) {
-                let (lo, hi) = block.split_at_mut(half);
-                for j in 0..half {
-                    let u = lo[j];
-                    let v = self.mont.mul_plain_by_mont(hi[j], tw[j]);
-                    lo[j] = m.add(u, v);
-                    hi[j] = m.sub(u, v);
-                }
-            }
-        }
-    }
-
     /// Pre-scales coefficients by ψ^j — the first step of the negacyclic
-    /// forward transform, shared with the 4-step variants.
+    /// forward transform in the 4-step variants.
     ///
     /// # Panics
     ///
@@ -280,7 +190,7 @@ impl NttTable {
     }
 
     /// Post-scales by ψ^{-j}·N^{-1} — the last step of the negacyclic
-    /// inverse transform, shared with the 4-step variants.
+    /// inverse transform in the 4-step variants.
     ///
     /// # Panics
     ///
@@ -292,24 +202,84 @@ impl NttTable {
         }
     }
 
-    /// Negacyclic forward NTT: pre-scale by ψ^j, then cyclic NTT.
+    /// Negacyclic forward NTT, natural order in and out, input and output
+    /// in [0, q).
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != N`.
     pub fn forward(&self, data: &mut [u64]) {
-        self.prescale_psi(data);
-        self.forward_cyclic(data);
+        assert_eq!(data.len(), self.n);
+        let m = &self.modulus;
+        let q = m.value();
+        let two_q = 2 * q;
+        // Cooley–Tukey over bit-reversed twiddles: stage `half` has `half`
+        // blocks of span 2t, block i using ψ^{bitrev(half + i)}. Values stay
+        // in [0, 4q): u is folded to [0, 2q), v = w·y lands in [0, 2q).
+        let mut t = self.n;
+        let mut half = 1;
+        while half < self.n {
+            t /= 2;
+            let twiddles = &self.fwd_twiddles[half..2 * half];
+            for (block, &(w, ws)) in data.chunks_exact_mut(2 * t).zip(twiddles) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+                    let u = if *x >= two_q { *x - two_q } else { *x };
+                    let v = m.mul_shoup_lazy(*y, w, ws);
+                    *x = u + v;
+                    *y = u + two_q - v;
+                }
+            }
+            half *= 2;
+        }
+        for x in data.iter_mut() {
+            let mut v = *x;
+            if v >= two_q {
+                v -= two_q;
+            }
+            if v >= q {
+                v -= q;
+            }
+            *x = v;
+        }
+        Self::bit_reverse(data);
     }
 
-    /// Negacyclic inverse NTT: cyclic INTT, then post-scale by ψ^{-j}/N.
+    /// Negacyclic inverse NTT, natural order in and out, input and output
+    /// in [0, q).
     ///
     /// # Panics
     ///
     /// Panics if `data.len() != N`.
     pub fn inverse(&self, data: &mut [u64]) {
-        self.inverse_cyclic_unscaled(data);
-        self.postscale_psi_inv(data);
+        assert_eq!(data.len(), self.n);
+        let m = &self.modulus;
+        let q = m.value();
+        let two_q = 2 * q;
+        Self::bit_reverse(data);
+        // Gentleman–Sande, undoing the forward stages in reverse order with
+        // ψ^{-bitrev(half + i)}. Values stay in [0, 2q) between stages.
+        let mut t = 1;
+        let mut half = self.n;
+        while half > 1 {
+            half /= 2;
+            let twiddles = &self.inv_twiddles[half..2 * half];
+            for (block, &(w, ws)) in data.chunks_exact_mut(2 * t).zip(twiddles) {
+                let (lo, hi) = block.split_at_mut(t);
+                for (x, y) in lo.iter_mut().zip(hi.iter_mut()) {
+                    let (u, v) = (*x, *y);
+                    let s = u + v;
+                    *x = if s >= two_q { s - two_q } else { s };
+                    *y = m.mul_shoup_lazy(u + two_q - v, w, ws);
+                }
+            }
+            t *= 2;
+        }
+        let (ni, nis) = self.n_inv;
+        for x in data.iter_mut() {
+            let v = m.mul_shoup_lazy(*x, ni, nis);
+            *x = if v >= q { v - q } else { v };
+        }
     }
 
     /// Direct O(N²) evaluation of the negacyclic NTT definition — used only
@@ -321,10 +291,9 @@ impl NttTable {
             .map(|k| {
                 let mut acc = 0u64;
                 for (j, &a) in data.iter().enumerate() {
-                    // ψ^{j(2k+1)} = ψ^j · ω^{jk}
+                    // ψ^{j(2k+1)}, folding ψ^N = -1.
                     let e = (j * (2 * k + 1)) % (2 * n);
                     let w = if e < n {
-                        // ψ^e with e < n: ψ^e = ψ^{e} — use ψ^j table via mont? compute directly
                         m.pow(self.psi, e as u64)
                     } else {
                         m.neg(m.pow(self.psi, (e - n) as u64))
@@ -341,11 +310,120 @@ impl NttTable {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use wd_modmath::prime::ntt_prime_above;
+    use wd_modmath::prime::{ntt_prime_above, ntt_prime_below};
 
     fn table(n: usize) -> NttTable {
         let q = ntt_prime_above(1 << 25, 2 * n as u64).unwrap();
         NttTable::new(q, n).unwrap()
+    }
+
+    /// The Montgomery-twiddle transform this module used before the lazy
+    /// Harvey butterfly, kept as the bit-identity oracle: ψ pre-scale, then
+    /// a bit-reversed iterative DIT cyclic NTT with twiddles `pow(e)`.
+    fn oracle_cyclic(t: &NttTable, data: &mut [u64], pow: impl Fn(usize) -> u64) {
+        let (m, mont, n) = (t.modulus(), t.montgomery(), t.degree());
+        NttTable::bit_reverse(data);
+        let mut len = 2;
+        while len <= n {
+            let half = len / 2;
+            let tw: Vec<u64> = (0..half)
+                .map(|j| mont.to_mont(pow(j * (n / len))))
+                .collect();
+            for block in data.chunks_exact_mut(len) {
+                let (lo, hi) = block.split_at_mut(half);
+                for j in 0..half {
+                    let u = lo[j];
+                    let v = mont.mul_plain_by_mont(hi[j], tw[j]);
+                    lo[j] = m.add(u, v);
+                    hi[j] = m.sub(u, v);
+                }
+            }
+            len *= 2;
+        }
+    }
+
+    fn oracle_forward(t: &NttTable, data: &mut [u64]) {
+        t.prescale_psi(data);
+        oracle_cyclic(t, data, |e| t.omega_pow(e));
+    }
+
+    fn oracle_inverse(t: &NttTable, data: &mut [u64]) {
+        oracle_cyclic(t, data, |e| t.omega_inv_pow(e));
+        t.postscale_psi_inv(data);
+    }
+
+    /// Chain and special primes of a CKKS parameter set, generated exactly
+    /// as `wd_ckks::params::CkksParams` does (chain primes alternate above
+    /// and below 2^prime_bits; special primes climb from 2^special_bits).
+    fn set_primes(n: usize, level: usize, special: usize, pbits: u32, sbits: u32) -> Vec<u64> {
+        let two_n = 2 * n as u64;
+        let (mut lo, mut hi) = (1u64 << pbits, 1u64 << pbits);
+        let mut primes = Vec::new();
+        for i in 0..=level {
+            let p = if i % 2 == 0 {
+                hi = ntt_prime_above(hi + 1, two_n).unwrap();
+                hi
+            } else {
+                lo = ntt_prime_below(lo - 1, two_n).unwrap();
+                lo
+            };
+            primes.push(p);
+        }
+        let mut cursor = 1u64 << sbits;
+        for _ in 0..special {
+            cursor = ntt_prime_above(cursor + 1, two_n).unwrap();
+            primes.push(cursor);
+        }
+        primes
+    }
+
+    /// Deterministic residues in [0, q) (splitmix64).
+    fn random_limb(q: u64, n: usize, seed: u64) -> Vec<u64> {
+        let mut s = seed;
+        (0..n)
+            .map(|_| {
+                s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = s;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % q
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lazy_transforms_match_montgomery_oracle_on_set_a_b_c() {
+        // SET-A/B/C (Table VI) at their native N: every chain and special
+        // prime, on random, all-zero and all-(q−1) inputs — the last one
+        // drives the lazy butterfly towards its [0, 4q) bound.
+        let sets = [
+            (1 << 12, 2, 1, 26, 28),
+            (1 << 13, 6, 1, 26, 29),
+            (1 << 14, 14, 1, 27, 29),
+        ];
+        for (n, level, special, pbits, sbits) in sets {
+            for (i, q) in set_primes(n, level, special, pbits, sbits)
+                .into_iter()
+                .enumerate()
+            {
+                let t = NttTable::new(q, n).unwrap();
+                let inputs = [
+                    random_limb(q, n, (n + i) as u64),
+                    vec![0; n],
+                    vec![q - 1; n],
+                ];
+                for input in inputs {
+                    let (mut fast, mut slow) = (input.clone(), input.clone());
+                    t.forward(&mut fast);
+                    oracle_forward(&t, &mut slow);
+                    assert_eq!(fast, slow, "forward diverged: N = {n}, q = {q}");
+                    let (mut fast, mut slow) = (input.clone(), input);
+                    t.inverse(&mut fast);
+                    oracle_inverse(&t, &mut slow);
+                    assert_eq!(fast, slow, "inverse diverged: N = {n}, q = {q}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -356,12 +434,22 @@ mod tests {
     }
 
     #[test]
-    fn forward_matches_naive_definition() {
-        let t = table(16);
-        let data: Vec<u64> = (0..16).map(|i| (i * i + 3) as u64).collect();
-        let mut fast = data.clone();
-        t.forward(&mut fast);
-        assert_eq!(fast, t.forward_naive(&data));
+    fn forward_matches_naive_definition_up_to_n64() {
+        for n in [4usize, 8, 16, 32, 64] {
+            let t = table(n);
+            let q = t.modulus().value();
+            for data in [
+                (0..n).map(|i| (i * i + 3) as u64).collect::<Vec<_>>(),
+                random_limb(q, n, n as u64),
+                vec![q - 1; n],
+            ] {
+                let mut fast = data.clone();
+                t.forward(&mut fast);
+                assert_eq!(fast, t.forward_naive(&data), "N = {n}");
+                t.inverse(&mut fast);
+                assert_eq!(fast, data, "round trip, N = {n}");
+            }
+        }
     }
 
     #[test]
@@ -439,21 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn barrett_path_matches_montgomery_path() {
-        // §IV-A-4: the two reductions must agree bit-for-bit; only speed
-        // differs.
-        let t = table(128);
-        let data: Vec<u64> = (0..128u64)
-            .map(|i| (i * 523 + 7) % t.modulus().value())
-            .collect();
-        let mut mont = data.clone();
-        let mut barrett = data;
-        t.forward(&mut mont);
-        t.forward_barrett(&mut barrett);
-        assert_eq!(mont, barrett);
-    }
-
-    #[test]
     fn bit_reverse_involution() {
         let mut v: Vec<u64> = (0..32).collect();
         let orig = v.clone();
@@ -461,6 +534,28 @@ mod tests {
         assert_ne!(v, orig);
         NttTable::bit_reverse(&mut v);
         assert_eq!(v, orig);
+    }
+
+    #[test]
+    fn bit_reverse_of_zero_or_one_element_is_a_no_op() {
+        // A single element used to shift by usize::BITS and overflow.
+        let mut one = vec![7u64];
+        NttTable::bit_reverse(&mut one);
+        assert_eq!(one, [7]);
+        let mut empty: Vec<u64> = Vec::new();
+        NttTable::bit_reverse(&mut empty);
+        assert!(empty.is_empty());
+        let mut two = vec![1u64, 2];
+        NttTable::bit_reverse(&mut two);
+        assert_eq!(two, [1, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two length")]
+    fn bit_reverse_rejects_non_power_of_two_length() {
+        // Length 6 used to come back unpermuted without an error.
+        let mut v: Vec<u64> = (0..6).collect();
+        NttTable::bit_reverse(&mut v);
     }
 
     proptest! {

@@ -249,6 +249,36 @@ impl Poly {
         }
     }
 
+    /// The same automorphism on a polynomial held in the NTT domain, where
+    /// it is a pure permutation of the natural-order evaluations at
+    /// ψ^{2k+1}: `output[k] = input[j]` with 2j+1 ≡ g(2k+1) mod 2N. Equal to
+    /// INTT → [`Poly::automorphism`] → NTT, without either transform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is even.
+    pub fn automorphism_ntt(&self, g: usize) -> Self {
+        assert!(g % 2 == 1, "Galois element must be odd");
+        let two_n = 2 * self.coeffs.len();
+        // e walks g(2k+1) mod 2N; it stays odd, so e / 2 is the source j.
+        let mut e = g % two_n;
+        let step = 2 * e % two_n;
+        let coeffs = (0..self.coeffs.len())
+            .map(|_| {
+                let c = self.coeffs[e / 2];
+                e += step;
+                if e >= two_n {
+                    e -= two_n;
+                }
+                c
+            })
+            .collect();
+        Self {
+            modulus: self.modulus,
+            coeffs,
+        }
+    }
+
     /// Infinity norm of the centered representation.
     pub fn inf_norm(&self) -> u64 {
         self.centered()

@@ -424,8 +424,8 @@ impl RnsPoly {
     ///
     /// # Panics
     ///
-    /// Panics when called in the NTT domain (the evaluation-domain
-    /// automorphism is a slot permutation, handled by the CKKS layer).
+    /// Panics when called in the NTT domain (use
+    /// [`RnsPoly::automorphism_ntt`] there).
     pub fn automorphism(&self, g: usize) -> Self {
         assert_eq!(
             self.domain,
@@ -435,6 +435,25 @@ impl RnsPoly {
         Self {
             limbs: self.limbs.iter().map(|l| l.automorphism(g)).collect(),
             domain: Domain::Coeff,
+        }
+    }
+
+    /// Galois automorphism X ↦ X^g applied limb-wise in the NTT domain — a
+    /// permutation of evaluations ([`Poly::automorphism_ntt`]), bit-identical
+    /// to INTT → [`RnsPoly::automorphism`] → NTT.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called in the coefficient domain, or if `g` is even.
+    pub fn automorphism_ntt(&self, g: usize) -> Self {
+        assert_eq!(
+            self.domain,
+            Domain::Ntt,
+            "automorphism_ntt acts on evaluations"
+        );
+        Self {
+            limbs: self.limbs.iter().map(|l| l.automorphism_ntt(g)).collect(),
+            domain: Domain::Ntt,
         }
     }
 
@@ -534,6 +553,34 @@ mod tests {
         assert_eq!(p.domain(), Domain::Ntt);
         p.ntt_inverse(&ts);
         assert_eq!(p, orig);
+    }
+
+    #[test]
+    fn automorphism_ntt_matches_coefficient_round_trip() {
+        // Rotation steps ±1, ±2 (g = 5^r mod 2N) and conjugation (2N − 1).
+        let n = 64;
+        let ps = primes(n, 3);
+        let ts = tables(&ps, n);
+        let two_n = 2 * n;
+        let five_inv = (1..two_n).find(|x| x * 5 % two_n == 1).unwrap();
+        let gals = [5, 25, five_inv, five_inv * five_inv % two_n, two_n - 1];
+        let coeff =
+            RnsPoly::from_signed(&ps, &(0..n as i64).map(|i| 3 * i - 70).collect::<Vec<_>>())
+                .unwrap();
+        let mut ntt = coeff.clone();
+        ntt.ntt_forward(&ts);
+        for g in gals {
+            let mut expect = coeff.automorphism(g);
+            expect.ntt_forward(&ts);
+            assert_eq!(ntt.automorphism_ntt(g), expect, "g = {g}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "acts on evaluations")]
+    fn automorphism_ntt_rejects_coefficient_domain() {
+        let ps = primes(8, 1);
+        let _ = RnsPoly::zero(&ps, 8).unwrap().automorphism_ntt(5);
     }
 
     #[test]
