@@ -22,7 +22,7 @@
 
 use crate::context::{restrict, CkksContext};
 use crate::keys::{KeySwitchKey, KskDigit, SecretKey};
-use crate::keyswitch::{convert_poly, select_basis};
+use crate::keyswitch::select_basis;
 use crate::{sampling, CkksError};
 use std::sync::Arc;
 use wd_modmath::prime::ntt_prime_above;
@@ -361,7 +361,7 @@ impl BgvContext {
                 Domain::Coeff,
             )?;
             let conv = ctx.try_converter(digit_primes, &full)?;
-            let mut ext = convert_poly(&conv, &digit);
+            let mut ext = wd_polyring::par::convert_poly(&conv, &digit, ctx.threads());
             for i in lo..hi {
                 *ext.limb_mut(i) = d_coeff.limb(i).clone();
             }

@@ -48,14 +48,6 @@ use wd_polyring::rns::{Domain, RnsPoly};
 use wd_polyring::scratch::{self, ScratchArena};
 use wd_polyring::Poly;
 
-/// Applies `conv` to every coefficient of `src` (coefficient domain),
-/// producing a polynomial over the converter's target basis. Delegates to
-/// the parallel base-conversion kernel with a sequential (1-thread) budget;
-/// see [`wd_polyring::par::convert_poly`] for the threaded form.
-pub(crate) fn convert_poly(conv: &wd_modmath::rns::BasisConverter, src: &RnsPoly) -> RnsPoly {
-    wd_polyring::par::convert_poly(conv, src, 1)
-}
-
 /// Leases zero-filled limb storage for an RNS polynomial over `primes` from
 /// `arena`. The returned polynomial is indistinguishable from
 /// `RnsPoly::zero` (leases are zeroed), but its storage came from the arena
@@ -691,7 +683,7 @@ mod tests {
         let p = ctx.params().p_chain().to_vec();
         let conv = ctx.try_converter(&q, &p)?;
         let src = RnsPoly::from_signed(&q, &(0..64).map(|i| i - 32).collect::<Vec<_>>())?;
-        let out = convert_poly(&conv, &src);
+        let out = wd_polyring::par::convert_poly(&conv, &src, 1);
         let expect = RnsPoly::from_signed(&p, &(0..64).map(|i| i - 32).collect::<Vec<_>>())?;
         assert_eq!(out, expect);
         Ok(())

@@ -149,6 +149,26 @@ impl Modulus {
         a.wrapping_mul(w).wrapping_sub(t.wrapping_mul(self.q))
     }
 
+    /// Precomputes the 32-bit Shoup constant `floor(w * 2^32 / q)` for a
+    /// fixed multiplicand `w`, enabling [`Modulus::mul_shoup32_lazy`].
+    /// Fits in 32 bits because `w < q`.
+    #[inline]
+    pub(crate) fn shoup32(&self, w: u64) -> u64 {
+        debug_assert!(w < self.q);
+        (w << 32) / self.q
+    }
+
+    /// 32-bit-word Shoup multiply: for any `a < 2^32` (an operand reduced
+    /// modulo a *different* prime below 2^31 included) returns a value in
+    /// `[0, 2q)` congruent to `a·w`, given `w_shoup32 = self.shoup32(w)`.
+    /// Every product is 32 × 32 → 64 bits, so no 128-bit multiply is needed.
+    #[inline]
+    pub(crate) fn mul_shoup32_lazy(&self, a: u64, w: u64, w_shoup32: u64) -> u64 {
+        debug_assert!(a < 1 << 32 && w < self.q && w_shoup32 < 1 << 32);
+        let t = (a * w_shoup32) >> 32;
+        a * w - t * self.q
+    }
+
     /// Modular exponentiation by square-and-multiply.
     pub fn pow(&self, mut base: u64, mut exp: u64) -> u64 {
         base = self.reduce(base);
@@ -281,6 +301,32 @@ mod tests {
     }
 
     #[test]
+    fn shoup32_stays_below_two_q_for_32_bit_operands() {
+        // Operands come from other primes below 2^31, so they may exceed q;
+        // the bound must hold for any a < 2^32, including the extremes.
+        for q in [Q, 134_250_497, 97, 2] {
+            let m = Modulus::new(q);
+            for w in [0u64, 1, q / 2, q - 1] {
+                let ws = m.shoup32(w);
+                assert!(ws < 1 << 32);
+                for a in [
+                    0u64,
+                    1,
+                    q - 1,
+                    q,
+                    2 * q - 1,
+                    (1 << 31) - 1,
+                    u64::from(u32::MAX),
+                ] {
+                    let r = m.mul_shoup32_lazy(a, w, ws);
+                    assert!(r < 2 * q, "q = {q}, a = {a}, w = {w}: {r} >= 2q");
+                    assert_eq!(r % q, m.mul(a % q, w));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn small_modulus_two() {
         let m = Modulus::new(2);
         assert_eq!(m.add(1, 1), 0);
@@ -307,6 +353,14 @@ mod tests {
             let m = Modulus::new(Q);
             let ws = m.shoup(w);
             prop_assert_eq!(m.mul_shoup(a, w, ws), m.mul(a, w));
+        }
+
+        #[test]
+        fn prop_shoup32_in_two_q_for_every_32_bit_operand(a in 0..(1u64 << 32), w in 0..Q) {
+            let m = Modulus::new(Q);
+            let r = m.mul_shoup32_lazy(a, w, m.shoup32(w));
+            prop_assert!(r < 2 * Q);
+            prop_assert_eq!(r % Q, m.mul(a % Q, w));
         }
 
         #[test]

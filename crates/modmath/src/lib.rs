@@ -12,7 +12,8 @@
 //! - [`prime`]: NTT-friendly prime generation (q ≡ 1 mod 2N) and primitive
 //!   roots of unity.
 //! - [`rns`]: residue-number-system bases, CRT reconstruction and the
-//!   fast approximate basis conversion used by hybrid keyswitching.
+//!   fast approximate basis conversion used by hybrid keyswitching, run as
+//!   a limb-major slab kernel.
 //! - [`karatsuba`]: the 4-term Karatsuba limb multiplication evaluated (and
 //!   rejected) by the paper's ablation in §IV-A-4.
 //! - [`slab`]: cache-blocked in-place kernels over contiguous limb slabs
@@ -57,6 +58,9 @@ pub enum MathError {
         /// Required NTT length divisor of q - 1.
         two_n: u64,
     },
+    /// A basis conversion was asked for from an empty source basis or one
+    /// wider than [`rns::MAX_CONVERT_LIMBS`] limbs.
+    InvalidBasisWidth(usize),
     /// The element has no inverse modulo q (gcd != 1).
     NotInvertible {
         /// The non-invertible element.
@@ -70,6 +74,11 @@ impl core::fmt::Display for MathError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             MathError::InvalidModulus(q) => write!(f, "invalid modulus {q}"),
+            MathError::InvalidBasisWidth(n) => write!(
+                f,
+                "basis conversion needs 1..={} source limbs, got {n}",
+                rns::MAX_CONVERT_LIMBS
+            ),
             MathError::PrimeNotFound { above, two_n } => {
                 write!(f, "no NTT prime q = 1 mod {two_n} found above {above}")
             }
@@ -87,9 +96,9 @@ pub use wd_fault::WdError;
 impl From<MathError> for WdError {
     fn from(e: MathError) -> Self {
         match e {
-            MathError::InvalidModulus(_) | MathError::PrimeNotFound { .. } => {
-                WdError::InvalidParams(e.to_string())
-            }
+            MathError::InvalidModulus(_)
+            | MathError::InvalidBasisWidth(_)
+            | MathError::PrimeNotFound { .. } => WdError::InvalidParams(e.to_string()),
             MathError::NotInvertible { .. } => WdError::Math(e.to_string()),
         }
     }

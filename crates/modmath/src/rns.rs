@@ -9,8 +9,39 @@
 //!   small relative to the basis product), and
 //! - [`BasisConverter`]: the fast (Halevi–Polyakov–Shoup style) conversion of
 //!   residues from one basis to another — the arithmetic core of ModUp and
-//!   ModDown in Keyswitch (paper Fig. 4).
+//!   ModDown in Keyswitch (paper Fig. 4), one of the whole-ciphertext PE
+//!   kernels of paper Table IX.
+//!
+//! # The limb-major conversion kernel
+//!
+//! [`BasisConverter::convert_slab`] works on limb slabs, not coefficients:
+//! a block of at most [`SLAB_BLOCK`] coefficients is read once per source
+//! limb and written once per target limb, straight into the output limbs.
+//!
+//! 1. **Per source limb j**, `y_j = [x_j·(Q/q_j)^{-1}]_{q_j}` by a 64-bit
+//!    Shoup multiply (any `x_j < 2^64` lands in `[0, 2q_j)`, one conditional
+//!    subtraction makes it canonical), and `v_est += y_j · (1/q_j)` in f64.
+//! 2. **Per target limb i**, `Σ_j y_j·[Q/q_j]_{p_i}` by *32-bit* Shoup
+//!    multiplies: `y_j < q_j < 2^31` may exceed `p_i`, but the 32-bit Shoup
+//!    bound holds for any operand below 2^32, so no pre-reduction is needed
+//!    and every product is 32 × 32 → 64 bits. Each term lies in `[0, 2p_i)`.
+//!    The terms of sources 1.. are summed unreduced — below 2^38 for at most
+//!    [`MAX_CONVERT_LIMBS`] = 64 sources — and Barrett-reduced once; source
+//!    0's term joins in the same loop, so the sum is below 3p_i and two
+//!    conditional subtractions make it canonical (with a single source, the
+//!    common K = 1 / α = 1 case, no Barrett reduction runs at all). The
+//!    correction `v·[Q]_{p_i}` is a lookup in a precomputed `[v·Q]_{p_i}`
+//!    table (`v ≤ |from|`).
+//!
+//! **Bit identity with [`BasisConverter::convert_coeff`]** (the scalar
+//! oracle): y_j and the final residue are canonical values of the same
+//! congruences, so only v could differ. v is an f64 round of a sum, and
+//! the kernel forms that sum exactly as the oracle does — the same
+//! products, added in the same order (j ascending, starting from 0.0) and
+//! rounded by the same `(v_est + 0.5).floor()` — so v, and every output,
+//! is bit-identical.
 
+use crate::slab::SLAB_BLOCK;
 use crate::{MathError, Modulus};
 
 /// An ordered set of distinct word-size prime moduli.
@@ -105,7 +136,8 @@ impl RnsBasis {
     ///
     /// The reconstructed representative lies in `(-Q/2, Q/2]` where Q is the
     /// basis product. This is how decryption recovers the (small) plaintext
-    /// coefficient from its RNS residues.
+    /// coefficient from its RNS residues. Exact for every basis product
+    /// below 2^128, including `[2^127, 2^128)`.
     ///
     /// # Errors
     ///
@@ -127,40 +159,48 @@ impl RnsBasis {
             let q_hat = q_prod / qi; // Q / q_i
             let q_hat_inv = m.inv((q_hat % qi) as u64)?; // (Q/q_i)^{-1} mod q_i
             let y = m.mul(m.reduce(r), q_hat_inv); // < q_i
-                                                   // acc += y * Q/q_i (mod Q), with mulmod over u128 to avoid overflow.
-            acc = (acc + mul_mod_u128(u128::from(y), q_hat, q_prod)) % q_prod;
+            acc = add_mod_u128(acc, mul_mod_u128(u128::from(y), q_hat, q_prod), q_prod);
         }
-        let half = q_prod / 2;
-        if acc > half {
-            Ok(acc as i128 - q_prod as i128)
+        // Both branches fit i128: acc ≤ ⌊Q/2⌋ < 2^127 and Q − acc < ⌈Q/2⌉.
+        if acc > q_prod / 2 {
+            Ok(-((q_prod - acc) as i128))
         } else {
             Ok(acc as i128)
         }
     }
 }
 
-/// (a * b) mod m for u128 operands, via 4-limb schoolbook on 64-bit halves.
+/// (a + b) mod m for reduced operands `a, b < m`, correct for any m < 2^128
+/// (a carry out of u128 means the true sum exceeds m).
+fn add_mod_u128(a: u128, b: u128, m: u128) -> u128 {
+    let (s, carry) = a.overflowing_add(b);
+    if carry || s >= m {
+        s.wrapping_sub(m)
+    } else {
+        s
+    }
+}
+
+/// (a * b) mod m for u128 operands by double-and-add, so no intermediate
+/// ever exceeds u128.
 fn mul_mod_u128(a: u128, b: u128, m: u128) -> u128 {
-    // Russian-peasant multiplication; m < 2^127 so doubling cannot overflow
-    // after one reduction.
     let mut a = a % m;
     let mut b = b % m;
     let mut acc: u128 = 0;
     while b > 0 {
         if b & 1 == 1 {
-            acc += a;
-            if acc >= m {
-                acc -= m;
-            }
+            acc = add_mod_u128(acc, a, m);
         }
-        a <<= 1;
-        if a >= m {
-            a -= m;
-        }
+        a = add_mod_u128(a, a, m);
         b >>= 1;
     }
     acc
 }
+
+/// Widest source basis a [`BasisConverter`] accepts. The lazy target
+/// accumulator sums one `[0, 2p)` term per source limb, so 64 limbs keep it
+/// below 2^38; the scalar oracle's stack buffer has the same size.
+pub const MAX_CONVERT_LIMBS: usize = 64;
 
 /// Fast RNS basis conversion (Halevi–Polyakov–Shoup), converting residues
 /// from a source basis Q = {q_j} to a target basis {p_i}:
@@ -180,10 +220,16 @@ pub struct BasisConverter {
     to: RnsBasis,
     /// (Q/q_j)^{-1} mod q_j, per source limb.
     q_hat_inv: Vec<u64>,
+    /// 64-bit Shoup constants of `q_hat_inv`.
+    q_hat_inv_shoup: Vec<u64>,
     /// [Q/q_j] mod p_i, indexed [i][j].
     q_hat_mod_to: Vec<Vec<u64>>,
+    /// 32-bit Shoup constants of `q_hat_mod_to` (valid for y_j < 2^32).
+    q_hat_mod_to_shoup32: Vec<Vec<u64>>,
     /// [Q] mod p_i.
     q_mod_to: Vec<u64>,
+    /// [v·Q] mod p_i for v in 0..=|from|, indexed [i][v].
+    v_q_mod_to: Vec<Vec<u64>>,
     /// 1/q_j as f64, per source limb.
     inv_q: Vec<f64>,
 }
@@ -193,11 +239,16 @@ impl BasisConverter {
     ///
     /// # Errors
     ///
-    /// Propagates [`MathError`] from inverse computations (cannot happen for
-    /// genuinely distinct primes).
+    /// [`MathError::InvalidBasisWidth`] if `from` is empty or wider than
+    /// [`MAX_CONVERT_LIMBS`]; otherwise propagates [`MathError`] from
+    /// inverse computations (cannot happen for genuinely distinct primes).
     pub fn new(from: RnsBasis, to: RnsBasis) -> Result<Self, MathError> {
         let n_from = from.len();
+        if !(1..=MAX_CONVERT_LIMBS).contains(&n_from) {
+            return Err(MathError::InvalidBasisWidth(n_from));
+        }
         let mut q_hat_inv = Vec::with_capacity(n_from);
+        let mut q_hat_inv_shoup = Vec::with_capacity(n_from);
         let mut inv_q = Vec::with_capacity(n_from);
         for (j, mj) in from.moduli().iter().enumerate() {
             // (Q/q_j) mod q_j = prod_{k != j} q_k mod q_j
@@ -207,11 +258,15 @@ impl BasisConverter {
                     prod = mj.mul(prod, mj.reduce(mk.value()));
                 }
             }
-            q_hat_inv.push(mj.inv(prod)?);
+            let inv = mj.inv(prod)?;
+            q_hat_inv.push(inv);
+            q_hat_inv_shoup.push(mj.shoup(inv));
             inv_q.push(1.0 / mj.value() as f64);
         }
         let mut q_hat_mod_to = Vec::with_capacity(to.len());
+        let mut q_hat_mod_to_shoup32 = Vec::with_capacity(to.len());
         let mut q_mod_to = Vec::with_capacity(to.len());
+        let mut v_q_mod_to = Vec::with_capacity(to.len());
         for mi in to.moduli() {
             let mut row = Vec::with_capacity(n_from);
             for j in 0..n_from {
@@ -227,15 +282,24 @@ impl BasisConverter {
             for mk in from.moduli() {
                 q_full = mi.mul(q_full, mi.reduce(mk.value()));
             }
+            q_hat_mod_to_shoup32.push(row.iter().map(|&w| mi.shoup32(w)).collect());
             q_hat_mod_to.push(row);
             q_mod_to.push(q_full);
+            v_q_mod_to.push(
+                (0..=n_from as u64)
+                    .map(|v| mi.mul(mi.reduce(v), q_full))
+                    .collect(),
+            );
         }
         Ok(Self {
             from,
             to,
             q_hat_inv,
+            q_hat_inv_shoup,
             q_hat_mod_to,
+            q_hat_mod_to_shoup32,
             q_mod_to,
+            v_q_mod_to,
             inv_q,
         })
     }
@@ -250,8 +314,114 @@ impl BasisConverter {
         &self.to
     }
 
+    /// Scratch words [`BasisConverter::convert_slab`] needs for a run of
+    /// `len` coefficients: `(y, v)` — the y slab holds one block per source
+    /// limb, the v slab one word per coefficient of a block.
+    pub fn slab_scratch_len(&self, len: usize) -> (usize, usize) {
+        let block = len.min(SLAB_BLOCK);
+        (self.from.len() * block, block)
+    }
+
+    /// Converts a run of coefficients limb-major: `src[j]` is a slice of
+    /// source limb j and `out[i]` the same coefficient range of target limb
+    /// i. Blocks of [`SLAB_BLOCK`] coefficients make two passes — per
+    /// source limb the y_j slab and the overflow estimate, then per target
+    /// limb a lazy multiply-accumulate — see the [module docs](self).
+    /// `y` and `v` are caller-owned scratch of at least
+    /// [`BasisConverter::slab_scratch_len`] words; their contents on entry
+    /// do not matter. Bit-identical to [`BasisConverter::convert_coeff`] on
+    /// every coefficient.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src`/`out` do not match the bases, the slices differ in
+    /// length, or the scratch is too short.
+    pub fn convert_slab(
+        &self,
+        src: &[&[u64]],
+        out: &mut [&mut [u64]],
+        y: &mut [u64],
+        v: &mut [u64],
+    ) {
+        let n_from = self.from.len();
+        assert_eq!(src.len(), n_from, "one source slice per source limb");
+        assert_eq!(out.len(), self.to.len(), "one output slice per target limb");
+        let len = src[0].len();
+        assert!(
+            src.iter().all(|s| s.len() == len) && out.iter().all(|o| o.len() == len),
+            "source and output slices cover the same coefficients"
+        );
+        let (y_len, v_len) = self.slab_scratch_len(len);
+        assert!(
+            y.len() >= y_len && v.len() >= v_len,
+            "conversion scratch too short"
+        );
+        let mut lo = 0;
+        while lo < len {
+            let b = (len - lo).min(SLAB_BLOCK);
+            let v = &mut v[..b];
+            // Pass 1, per source limb: y_j and the f64 overflow estimate,
+            // accumulated in the same order (j ascending from 0.0) as
+            // `convert_coeff`, so every v below is bit-identical.
+            v.fill(0.0f64.to_bits());
+            for (j, (mj, x)) in self.from.moduli().iter().zip(src).enumerate() {
+                let (q, w, ws, inv) = (
+                    mj.value(),
+                    self.q_hat_inv[j],
+                    self.q_hat_inv_shoup[j],
+                    self.inv_q[j],
+                );
+                let yj = &mut y[j * b..(j + 1) * b];
+                for ((yk, &xk), vk) in yj.iter_mut().zip(&x[lo..lo + b]).zip(v.iter_mut()) {
+                    let r = mj.mul_shoup_lazy(xk, w, ws);
+                    let r = if r >= q { r - q } else { r };
+                    *yk = r;
+                    *vk = (f64::from_bits(*vk) + r as f64 * inv).to_bits();
+                }
+            }
+            for vk in v.iter_mut() {
+                *vk = (f64::from_bits(*vk) + 0.5).floor() as u64;
+            }
+            // Pass 2, per target limb: Σ_j y_j·[Q/q_j]_{p_i} by lazy 32-bit
+            // Shoup terms, each in [0, 2p_i). Sources 1.. accumulate
+            // unreduced (the sum stays below 2^38); source 0's term is
+            // fused with the one reduction and the tabulated v·Q
+            // correction.
+            let (y0, y_rest) = y[..n_from * b].split_at(b);
+            for (i, (mi, o)) in self.to.moduli().iter().zip(out.iter_mut()).enumerate() {
+                let (p, row, row32, vq) = (
+                    mi.value(),
+                    &self.q_hat_mod_to[i],
+                    &self.q_hat_mod_to_shoup32[i],
+                    &self.v_q_mod_to[i],
+                );
+                let o = &mut o[lo..lo + b];
+                for (j, yj) in y_rest.chunks_exact(b).enumerate() {
+                    let (w, ws) = (row[j + 1], row32[j + 1]);
+                    for (ok, &yk) in o.iter_mut().zip(yj) {
+                        // y_j < q_j < 2^31, so the truncation is exact; it
+                        // lets both products run as 32 × 32 → 64 multiplies.
+                        let t = mi.mul_shoup32_lazy(u64::from(yk as u32), w, ws);
+                        *ok = if j == 0 { t } else { *ok + t };
+                    }
+                }
+                let (w, ws) = (row[0], row32[0]);
+                for ((ok, &yk), &vk) in o.iter_mut().zip(y0).zip(v.iter()) {
+                    // With one source nothing was accumulated into `o`.
+                    let rest = if n_from > 1 { mi.reduce(*ok) } else { 0 };
+                    let acc = mi.mul_shoup32_lazy(u64::from(yk as u32), w, ws) + rest;
+                    let acc = if acc >= p { acc - p } else { acc };
+                    let acc = if acc >= p { acc - p } else { acc };
+                    *ok = mi.sub(acc, vq[vk as usize]);
+                }
+            }
+            lo += b;
+        }
+    }
+
     /// Converts one coefficient's residues from the source to the target
-    /// basis, writing into `out` (`out.len() == to.len()`).
+    /// basis, writing into `out` (`out.len() == to.len()`). The scalar
+    /// reference [`BasisConverter::convert_slab`] is tested against.
     ///
     /// # Panics
     ///
@@ -261,8 +431,7 @@ impl BasisConverter {
         assert_eq!(out.len(), self.to.len());
         // y_j and the float overflow estimate.
         let mut v_est = 0.0f64;
-        let mut y = [0u64; 64];
-        assert!(residues.len() <= 64, "basis wider than 64 limbs");
+        let mut y = [0u64; MAX_CONVERT_LIMBS];
         for (j, (mj, &x)) in self.from.moduli().iter().zip(residues).enumerate() {
             let yj = mj.mul(mj.reduce(x), self.q_hat_inv[j]);
             y[j] = yj;
@@ -371,6 +540,137 @@ mod tests {
         let mut out = vec![0u64];
         conv.convert_coeff(&src, &mut out);
         assert_eq!(out[0], to.decompose_i128(x)[0]);
+    }
+
+    #[test]
+    fn crt_exact_for_products_in_top_bit_range() {
+        // Product ≈ 2^127.5: doubling in the mul-mod, the accumulator sum
+        // and the signed cast all used to overflow here.
+        let b = RnsBasis::new(vec![47453207, 47453213, 47453227, 47453261, 47453269]).unwrap();
+        let q = b.product_u128().unwrap();
+        assert!(q > 1 << 127);
+        let half = (q / 2) as i128;
+        for x in [
+            -5i128,
+            5,
+            0,
+            -1,
+            1 << 100,
+            -(1 << 126),
+            half,
+            -half,
+            half - 1,
+        ] {
+            let r = b.decompose_i128(x);
+            assert_eq!(b.crt_reconstruct_centered(&r).unwrap(), x, "x = {x}");
+        }
+    }
+
+    #[test]
+    fn converter_rejects_empty_and_too_wide_source_bases() {
+        let to = basis(28, 2, 0);
+        let empty = RnsBasis::new(Vec::new()).unwrap();
+        assert_eq!(
+            BasisConverter::new(empty, to.clone()).unwrap_err(),
+            MathError::InvalidBasisWidth(0)
+        );
+        let wide = RnsBasis::new(generate_ntt_primes(30, 1 << 8, 65).unwrap()).unwrap();
+        assert_eq!(
+            BasisConverter::new(wide, to).unwrap_err(),
+            MathError::InvalidBasisWidth(65)
+        );
+        let max = RnsBasis::new(generate_ntt_primes(30, 1 << 8, 64).unwrap()).unwrap();
+        assert!(BasisConverter::new(max, basis(28, 2, 0)).is_ok());
+    }
+
+    /// The SET-C prime chain (N = 2^14, 15 chain primes alternating around
+    /// 2^27, one special prime above 2^29), built the way `wd-ckks` does.
+    fn set_c_primes() -> (Vec<u64>, u64) {
+        let two_n = 1 << 15;
+        let (mut lo, mut hi) = (1u64 << 27, 1u64 << 27);
+        let chain = (0..15)
+            .map(|i| {
+                if i % 2 == 0 {
+                    hi = crate::prime::ntt_prime_above(hi + 1, two_n).unwrap();
+                    hi
+                } else {
+                    lo = crate::prime::ntt_prime_below(lo - 1, two_n).unwrap();
+                    lo
+                }
+            })
+            .collect();
+        let special = crate::prime::ntt_prime_above((1 << 29) + 1, two_n).unwrap();
+        (chain, special)
+    }
+
+    /// Source limbs of length `len`: the edge residues 0, q−1, ⌊q/2⌋ and
+    /// ⌊q/2⌋+1 (the last two straddle a flip of v) first, then
+    /// pseudo-random residues.
+    fn source_limbs(from: &[u64], len: usize) -> Vec<Vec<u64>> {
+        from.iter()
+            .enumerate()
+            .map(|(j, &q)| {
+                let edges = [0, q - 1, q / 2, q / 2 + 1];
+                (0..len)
+                    .map(|k| match k {
+                        0..=15 => edges[(k + k / 4 * j) % 4],
+                        _ => (k as u64 * 2_654_435_761 + j as u64 * 40_503) % q,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn slab_kernel_matches_scalar_oracle_at_set_c_shapes() {
+        let (chain, special) = set_c_primes();
+        let mut up_targets = chain[1..].to_vec();
+        up_targets.push(special);
+        let all = |lo: usize, hi: usize| {
+            let mut t: Vec<u64> = chain[..lo].to_vec();
+            t.extend_from_slice(&chain[hi..]);
+            t.push(special);
+            t
+        };
+        let shapes: [(Vec<u64>, Vec<u64>); 4] = [
+            // ModDown, K = 1: a 29-bit source onto 27-bit targets (y ≥ p).
+            (vec![special], chain.clone()),
+            // ModUp, α = 1.
+            (vec![chain[0]], up_targets),
+            // ModUp from α = 3 and α = 13 digits.
+            (chain[..3].to_vec(), all(0, 3)),
+            (chain[..13].to_vec(), all(0, 13)),
+        ];
+        for (from, to) in &shapes {
+            let conv = BasisConverter::new(
+                RnsBasis::new(from.clone()).unwrap(),
+                RnsBasis::new(to.clone()).unwrap(),
+            )
+            .unwrap();
+            for len in [1usize, 64, SLAB_BLOCK + 1, 3 * SLAB_BLOCK - 7, 1 << 14] {
+                let src = source_limbs(from, len);
+                let src_refs: Vec<&[u64]> = src.iter().map(|l| &l[..]).collect();
+                let mut out = vec![vec![0u64; len]; to.len()];
+                let mut out_refs: Vec<&mut [u64]> = out.iter_mut().map(|l| &mut l[..]).collect();
+                // Dirty scratch: the kernel must not depend on its contents.
+                let (y_len, v_len) = conv.slab_scratch_len(len);
+                let (mut y, mut v) = (vec![u64::MAX; y_len], vec![u64::MAX; v_len]);
+                conv.convert_slab(&src_refs, &mut out_refs, &mut y, &mut v);
+                let mut col = vec![0u64; to.len()];
+                for k in 0..len {
+                    let residues: Vec<u64> = src.iter().map(|l| l[k]).collect();
+                    conv.convert_coeff(&residues, &mut col);
+                    for (i, &c) in col.iter().enumerate() {
+                        assert_eq!(
+                            out[i][k],
+                            c,
+                            "|from| = {}, len = {len}, limb {i}, coeff {k}",
+                            from.len()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     fn ntt_prime(bits: u32) -> u64 {

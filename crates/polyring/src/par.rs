@@ -22,6 +22,7 @@ use crate::ntt::NttTable;
 use crate::rns::{Domain, RnsPoly};
 use std::sync::Arc;
 use wd_fault::{run_isolated, WdError};
+use wd_modmath::slab::SLAB_BLOCK;
 
 /// Environment variable naming the host thread budget.
 pub const THREADS_ENV: &str = "WD_THREADS";
@@ -363,17 +364,23 @@ pub fn try_convert_poly(
 /// `src_limbs` are the source residue limbs (one per prime of the
 /// converter's from-basis, coefficient domain by construction — there is no
 /// domain marker on raw limbs, so the caller owns that invariant). Every
-/// coefficient of every `out` limb is overwritten. Per-chunk scratch is
-/// leased from this thread's [`crate::scratch`] arena *on the calling
-/// thread* (the arena owner), then handed to the workers — worker threads
-/// never touch the arena, which is the per-worker ownership rule.
+/// coefficient of every `out` limb is overwritten by the limb-major
+/// [`wd_modmath::rns::BasisConverter::convert_slab`] kernel: the coefficient
+/// range is split into `SLAB_BLOCK`-aligned chunks, one per worker, and
+/// each chunk writes straight into its own sub-slices of the output limbs.
+/// Per-chunk scratch (the y and v slabs, `min(chunk, SLAB_BLOCK)`
+/// coefficients wide) is leased from this thread's [`crate::scratch`] arena
+/// *on the calling thread* (the arena owner), then handed to the workers —
+/// worker threads never touch the arena, which is the per-worker ownership
+/// rule.
 ///
 /// # Errors
 ///
 /// [`WdError::InvalidParams`] when `src_limbs` is empty or does not match
 /// the converter's from-basis, [`WdError::LevelMismatch`] when `out` does
 /// not match the to-basis shape, [`WdError::WorkerPanicked`] from an
-/// isolated worker panic (on any `Err`, `out` is untouched).
+/// isolated worker panic. Shape errors leave `out` untouched; after a
+/// worker panic its contents are unspecified.
 pub fn try_convert_limbs_into(
     conv: &wd_modmath::rns::BasisConverter,
     src_limbs: &[&crate::Poly],
@@ -406,47 +413,38 @@ pub fn try_convert_limbs_into(
             "conversion output does not match the converter's to-basis".into(),
         ));
     }
-    let from_len = from.len();
-    // Coefficient-major scratch per chunk keeps writes disjoint; the limbs
-    // are assembled afterwards (a cache-friendly transpose). All scratch is
-    // leased here, on the arena-owning thread, before the fan-out.
+    // Block-aligned coefficient chunks, one per worker; each writes
+    // straight into disjoint sub-slices of the output limbs. The y and v
+    // scratch is leased here, on the arena-owning thread, before the
+    // fan-out.
     let t = threads.clamp(1, n.max(1));
-    let chunk = n.div_ceil(t);
-    let mut work: Vec<(
-        usize,
-        crate::scratch::ScratchVec,
-        crate::scratch::ScratchVec,
-    )> = (0..n.div_ceil(chunk))
+    let chunk = n.div_ceil(t).next_multiple_of(SLAB_BLOCK).min(n);
+    let (y_len, v_len) = conv.slab_scratch_len(chunk);
+    let mut work: Vec<_> = (0..n.div_ceil(chunk))
         .map(|c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
+            let range = c * chunk..((c + 1) * chunk).min(n);
+            let srcs: Vec<&[u64]> = src_limbs
+                .iter()
+                .map(|p| &p.coeffs()[range.clone()])
+                .collect();
+            let outs: Vec<&mut [u64]> = Vec::with_capacity(to_len);
             (
-                lo,
-                crate::scratch::lease((hi - lo) * to_len),
-                crate::scratch::lease(from_len),
+                srcs,
+                outs,
+                crate::scratch::lease(y_len),
+                crate::scratch::lease(v_len),
             )
         })
         .collect();
-    try_for_each_mut(t, &mut work, |(lo, flat, residues)| {
-        let hi = (*lo + chunk).min(n);
-        for j in *lo..hi {
-            for (r, i) in residues.iter_mut().zip(0..from_len) {
-                *r = src_limbs[i].coeffs()[j];
-            }
-            let col = &mut flat[(j - *lo) * to_len..(j - *lo + 1) * to_len];
-            conv.convert_coeff(residues, col);
-        }
-        Ok(())
-    })?;
-    let mut out_limbs: Vec<&mut [u64]> = out.limbs_mut().map(|l| l.coeffs_mut()).collect();
-    for (lo, flat, _) in &work {
-        for (k, col) in flat.chunks_exact(to_len).enumerate() {
-            for (limb, &v) in out_limbs.iter_mut().zip(col.iter()) {
-                limb[lo + k] = v;
-            }
+    for limb in out.limbs_mut() {
+        for (item, part) in work.iter_mut().zip(limb.coeffs_mut().chunks_mut(chunk)) {
+            item.1.push(part);
         }
     }
-    Ok(())
+    try_for_each_mut(t, &mut work, |(srcs, outs, y, v)| {
+        conv.convert_slab(srcs, outs, y, v);
+        Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -106,3 +106,89 @@ proptest! {
         }
     }
 }
+
+/// The SET-C primes (N = 2^14): 15 chain primes alternating around 2^27 and
+/// one special prime above 2^29, built the way `wd-ckks` builds them.
+fn set_c_primes() -> (Vec<u64>, u64) {
+    use wd_modmath::prime::{ntt_prime_above, ntt_prime_below};
+    let two_n = 1 << 15;
+    let (mut lo, mut hi) = (1u64 << 27, 1u64 << 27);
+    let chain = (0..15)
+        .map(|i| {
+            if i % 2 == 0 {
+                hi = ntt_prime_above(hi + 1, two_n).unwrap();
+                hi
+            } else {
+                lo = ntt_prime_below(lo - 1, two_n).unwrap();
+                lo
+            }
+        })
+        .collect();
+    (chain, ntt_prime_above((1 << 29) + 1, two_n).unwrap())
+}
+
+/// The limb-major conversion behind `par::try_convert_limbs_into` is
+/// bit-identical to the scalar `convert_coeff` at the native ModUp/ModDown
+/// shapes, below one slab block and at full SET-C degree, for 1–3 threads.
+#[test]
+fn base_conversion_matches_scalar_oracle_at_set_c_shapes() {
+    let (chain, special) = set_c_primes();
+    let rest = |k: usize| {
+        let mut t = chain[k..].to_vec();
+        t.push(special);
+        t
+    };
+    let shapes = [
+        // ModDown, K = 1: 29-bit source, 27-bit targets (y_j ≥ p_i).
+        (vec![special], chain.clone()),
+        // ModUp from α = 1, 3 and 13 digits.
+        (vec![chain[0]], rest(1)),
+        (chain[..3].to_vec(), rest(3)),
+        (chain[..13].to_vec(), rest(13)),
+    ];
+    for (from, to) in &shapes {
+        let conv = BasisConverter::new(
+            RnsBasis::new(from.clone()).unwrap(),
+            RnsBasis::new(to.clone()).unwrap(),
+        )
+        .unwrap();
+        for n in [1usize << 6, 1 << 14] {
+            // Edge residues 0, q−1, ⌊q/2⌋, ⌊q/2⌋+1 (the last two straddle a
+            // flip of the overflow estimate v), then pseudo-random ones.
+            let limbs: Vec<wd_polyring::Poly> = from
+                .iter()
+                .enumerate()
+                .map(|(j, &q)| {
+                    let edges = [0, q - 1, q / 2, q / 2 + 1];
+                    let coeffs = (0..n)
+                        .map(|k| match k {
+                            0..=15 => edges[(k + k / 4 * j) % 4],
+                            _ => (k as u64 * 2_654_435_761 + j as u64 * 40_503) % q,
+                        })
+                        .collect();
+                    wd_polyring::Poly::from_coeffs(q, coeffs).unwrap()
+                })
+                .collect();
+            let src = RnsPoly::from_limbs(limbs, wd_polyring::rns::Domain::Coeff).unwrap();
+            let mut expect = RnsPoly::zero(to, n).unwrap();
+            let mut col = vec![0u64; to.len()];
+            for k in 0..n {
+                conv.convert_coeff(&src.coeff_residues(k), &mut col);
+                for (i, &c) in col.iter().enumerate() {
+                    expect.limb_mut(i).coeffs_mut()[k] = c;
+                }
+            }
+            let src_limbs: Vec<&wd_polyring::Poly> = src.limbs().collect();
+            for threads in [1, 2, 3] {
+                let mut got = RnsPoly::zero(to, n).unwrap();
+                par::try_convert_limbs_into(&conv, &src_limbs, &mut got, threads).unwrap();
+                assert_eq!(
+                    got,
+                    expect,
+                    "|from| = {}, n = {n}, threads = {threads}",
+                    from.len()
+                );
+            }
+        }
+    }
+}
